@@ -26,11 +26,23 @@ coordinator
    ``(src, dst, label)`` triples (bounded by ``delta_ship_threshold``;
    anything larger raises :class:`ProcessExecutionUnsupported` so the caller
    falls back to in-process execution);
-3. computes morsel ranges over the scan's edge count with dynamic sizing
+3. runs the phases of :func:`repro.executor.parallel.execute_phases`, each
+   phase a set of morsel tasks over the phase root's scan, sized dynamically
    (``total / (num_workers * morsels_per_worker)`` clamped to
-   ``[min_morsel_size, max_morsel_size]``), enqueues one task per range, and
-   collects exactly one result per range, discarding stale messages from
-   abandoned attempts by query id;
+   ``[min_morsel_size, max_morsel_size]``), with exactly one result collected
+   per task and stale messages from abandoned attempts discarded by query id:
+
+   a. **build phase** (per hash join, inner joins first) — workers run the
+      join's build sub-plan over their ranges and spool its rows as one
+      ``int64`` ``.npy`` frame per morsel in the pool's spool directory;
+   b. **barrier** — one task concatenates those frames in morsel order,
+      sorts them once into the join's table and spools it as ``.npy``
+      arrays next to the shipped bases;
+   c. **probe phase** — workers ``np.load(..., mmap_mode="r")`` every table
+      once per query id and run the plan over their ranges, each hash join
+      probing its prebuilt table instead of re-running its build side;
+
+   the query's spooled frames and tables are removed when it ends;
 4. merges counts, collected rows (in morsel-index order, which equals the
    serial scan order for the iterator engine), and
    :class:`~repro.executor.profile.ExecutionProfile` objects with the same
@@ -46,14 +58,19 @@ the merged profile, and returns the raw records on
 :attr:`~repro.executor.parallel.ParallelResult.morsel_records` so the
 database can attach one child span per morsel to the query's trace.
 
-Workers cache the deserialised ``(plan, graph, config)`` per query id and the
-mapped base per path, so a query's cost is paid once, not per morsel.  A
-worker that dies mid-query is respawned and the query retried once under a
-fresh id; a second death raises :class:`~repro.errors.WorkerPoolError` while
-the pool stays usable for later queries.
+Workers cache the deserialised ``(plan, graph, config)`` and the mapped join
+tables per query id, and the mapped base per path, so a query's setup —
+including a dirty snapshot's overlay rebuild — is paid once per query, not
+per morsel or per phase.  A worker that dies mid-query is respawned and the
+query retried once under a fresh id; a second death raises
+:class:`~repro.errors.WorkerPoolError` while the pool stays usable for later
+queries.
 
 Determinism: match *counts* are bit-identical to the single-threaded pipeline
-for both engines (each scan edge is executed exactly once across morsels).
+for both engines (each scan edge of every sub-plan is executed exactly once
+per query), and so are per-operator output rows and hash-table entries.
+i-cost matches too unless an intersection-cache run (iterator) or a
+distinct-key group (vectorized) straddles a morsel boundary.
 Collected rows from the iterator engine come back in exact serial order;
 the vectorized engine may group rows differently within a morsel, exactly as
 it already does in-process.
@@ -76,10 +93,20 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ProcessExecutionUnsupported, WorkerPoolError
 from repro.executor.operators import ExecutionConfig
-from repro.executor.parallel import ParallelResult, _primary_scan
-from repro.executor.profile import ExecutionProfile
+from repro.executor.parallel import (
+    MorselRun,
+    ParallelResult,
+    execute_phases,
+    join_table,
+    primary_scan,
+    run_morsel,
+    scan_edge_count,
+)
+from repro.executor.vectorized import JoinTable, concat_frames
 from repro.graph.graph import Graph
 from repro.obs.registry import Histogram
 from repro.planner.plan import Plan
@@ -148,19 +175,54 @@ def _load_worker_graph(spec: dict, base_cache: Dict[str, Graph], timings: dict):
     return snapshot
 
 
+def _spool_arrays(prefix: str, arrays: Dict[str, np.ndarray]) -> Dict[str, str]:
+    """Write each array as ``<prefix>-<name>.npy``; returns the paths."""
+    paths = {}
+    for name, array in arrays.items():
+        path = f"{prefix}-{name}.npy"
+        np.save(path, array)
+        paths[name] = path
+    return paths
+
+
+def _build_spooled_table(join, frame_paths: List[str], graph, config, prefix: str):
+    """The barrier task: concatenate one join's spooled build frames in
+    morsel order and spool what its probe morsels need — the sorted
+    :class:`JoinTable` (vectorized) or the rows (iterator, whose dict each
+    worker builds once per query).  Returns ``(paths, build seconds)``."""
+    start = time.perf_counter()
+    frames = [np.load(path, mmap_mode="r") for path in frame_paths]
+    rows = concat_frames(frames, len(join.build.out_vertices))
+    if config.vectorized:
+        arrays = join_table(join, rows, graph.num_vertices, True).to_arrays()
+    else:
+        arrays = {"rows": rows}
+    return _spool_arrays(prefix, arrays), time.perf_counter() - start
+
+
+def _load_join_table(join, paths: Dict[str, str], graph, config):
+    """Map a table spooled by :func:`_build_spooled_table` read-only."""
+    arrays = {name: np.load(path, mmap_mode="r") for name, path in paths.items()}
+    if "rows" in arrays:
+        return join_table(join, arrays["rows"], graph.num_vertices, False)
+    return JoinTable.from_arrays(arrays)
+
+
 def _worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Worker loop: deserialise a query spec once, then execute its morsels.
+    """Worker loop: deserialise a query spec once, then execute its tasks —
+    morsels of every phase and the barrier's table builds.
 
     Must stay importable at module top level (``spawn`` start method).
     """
     base_cache: Dict[str, Graph] = {}
-    current: Optional[tuple] = None  # (query_id, plan, graph, config, collect, scan_vertices)
+    current: Optional[tuple] = None  # (query_id, plan, nodes, graph, config, spec)
+    tables: Dict[int, object] = {}  # the current query's join tables
     while True:
         task = task_queue.get()
         pickup = time.monotonic()
         if task is None:
             break
-        _, query_id, morsel_index, spec_bytes, scan_range, enqueue_ts = task
+        _, query_id, index, spec_bytes, phase, scan_range, enqueue_ts = task
         # Per-morsel stage timings, shipped back with the result.  queue_wait
         # spans coordinator enqueue -> worker pickup: CLOCK_MONOTONIC is
         # system-wide on Linux, so the two processes' readings compare
@@ -168,6 +230,9 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
         timings = {"queue_wait": max(0.0, pickup - enqueue_ts)}
         try:
             if current is None or current[0] != query_id:
+                # Every phase of a query shares this cache, so the base map
+                # and a dirty snapshot's overlay rebuild happen once per
+                # query, not once per phase.
                 deser_start = time.perf_counter()
                 spec = pickle.loads(spec_bytes)
                 graph = _load_worker_graph(spec, base_cache, timings)
@@ -181,49 +246,55 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                     - timings.get("base_load", 0.0)
                     - timings.get("overlay_rebuild", 0.0),
                 )
-                current = (
-                    query_id,
-                    plan,
-                    graph,
-                    config,
-                    spec["collect"],
-                    tuple(spec["scan_vertices"]),
+                nodes = list(plan.root.iter_nodes())
+                current = (query_id, plan, nodes, graph, config, spec)
+                tables = {}
+            _, plan, nodes, graph, config, spec = current
+            prefix = os.path.join(spec["spool_dir"], f"q{query_id}")
+            if phase[0] == "table":
+                _, join_index, frame_paths = phase
+                payload = _build_spooled_table(
+                    nodes[join_index], frame_paths, graph, config, f"{prefix}-join{join_index}"
                 )
-            _, plan, graph, config, collect, scan_vertices = current
-            from repro.executor.pipeline import execute_plan
-
+                result_queue.put(("result", query_id, index, worker_id, payload))
+                continue
+            _, root_index, table_paths = phase
+            for join_index, paths in table_paths.items():
+                if join_index not in tables:
+                    tables[join_index] = _load_join_table(
+                        nodes[join_index], paths, graph, config
+                    )
+            join_tables = {id(nodes[j]): tables[j] for j in table_paths}
+            root = nodes[root_index]
             morsel_config = replace(
                 config,
                 scan_range=tuple(scan_range),
-                scan_range_vertices=scan_vertices,
+                scan_range_vertices=tuple(primary_scan(root).out_vertices),
             )
             timings["started_at"] = time.monotonic()
             busy_start = time.perf_counter()
-            result = execute_plan(plan, graph, config=morsel_config, collect=collect)
-            timings["execute"] = time.perf_counter() - busy_start
-            result_queue.put(
-                (
-                    "result",
-                    query_id,
-                    morsel_index,
-                    worker_id,
-                    result.num_matches,
-                    result.matches if collect else None,
-                    tuple(result.vertex_order),
-                    result.profile,
-                    result.truncated,
-                    result.deadline_exceeded,
-                    timings,
-                )
+            run = run_morsel(
+                plan, root, graph, morsel_config, spec["collect"], join_tables,
+                index=index, worker_id=worker_id,
             )
+            if run.phase == "build":
+                # Build rows travel by file, so the coordinator never holds
+                # them: the barrier task maps them straight back.
+                run.rows = _spool_arrays(
+                    f"{prefix}-node{root_index}-m{index}", {"rows": run.rows}
+                )["rows"]
+            timings["execute"] = time.perf_counter() - busy_start
+            run.timings = timings
+            result_queue.put(("result", query_id, index, worker_id, run))
         except BaseException as exc:  # report, keep serving later queries
             current = None
+            tables = {}
             try:
                 result_queue.put(
                     (
                         "error",
                         query_id,
-                        morsel_index,
+                        index,
                         worker_id,
                         f"{type(exc).__name__}: {exc}",
                     )
@@ -564,10 +635,10 @@ class MorselProcessPool:
         if isinstance(graph, DynamicGraph):
             graph = graph.snapshot()
         base_config = config or ExecutionConfig()
-        spec, ranges = self._build_spec(plan, graph, base_config, collect, base_path)
+        spec = self._build_spec(plan, graph, base_config, collect, base_path)
         with self._query_lock:
             self._ensure_started()
-            return self._run_query(plan, spec, ranges, base_config, collect)
+            return self._run_query(plan, graph, spec, base_config, collect)
 
     def _build_spec(
         self,
@@ -576,11 +647,10 @@ class MorselProcessPool:
         base_config: ExecutionConfig,
         collect: bool,
         base_path: Optional[str],
-    ) -> Tuple[dict, List[Tuple[int, int]]]:
+    ) -> dict:
         from repro.storage.snapshot import GraphSnapshot
 
-        scan = _primary_scan(plan)
-        if scan is None:
+        if primary_scan(plan.root) is None:
             raise ProcessExecutionUnsupported(
                 "plan has no scan leaf to partition into morsels"
             )
@@ -623,13 +693,7 @@ class MorselProcessPool:
         if base_path is None:
             base_path = self._ship_base(base)
 
-        edge = scan.edge
-        total_edges = graph.count_edges(
-            edge_label=edge.label,
-            src_label=scan.sub_query.vertex_label(edge.src),
-            dst_label=scan.sub_query.vertex_label(edge.dst),
-        )
-        spec = {
+        return {
             "base_path": base_path,
             "overlay": overlay,
             "plan": plan_to_dict(plan),
@@ -637,9 +701,8 @@ class MorselProcessPool:
                 field: getattr(base_config, field) for field in _SHIPPED_CONFIG_FIELDS
             },
             "collect": collect,
-            "scan_vertices": tuple(scan.out_vertices),
+            "spool_dir": self._spool(),
         }
-        return spec, self._morsel_ranges(total_edges)
 
     def _morsel_ranges(self, total_edges: int) -> List[Tuple[int, int]]:
         if total_edges <= 0:
@@ -655,20 +718,42 @@ class MorselProcessPool:
     def _run_query(
         self,
         plan: Plan,
+        graph,
         spec: dict,
-        ranges: List[Tuple[int, int]],
         base_config: ExecutionConfig,
         collect: bool,
     ) -> ParallelResult:
         spec_bytes = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        start_time = time.perf_counter()
+        # Post-order positions name plan nodes across the process boundary:
+        # workers rebuild the same tree from the shipped plan.
+        node_index = {id(node): i for i, node in enumerate(plan.root.iter_nodes())}
         attempts = 0
         while True:
             with self._state_lock:
                 self._query_counter += 1
                 query_id = self._query_counter
+
+            def run_phase(root, join_tables) -> List[MorselRun]:
+                # Every table built so far ships with every phase (as spool
+                # paths); a worker maps each one once per query id.
+                tables = {node_index[key]: paths for key, paths in join_tables.items()}
+                phase = ("run", node_index[id(root)], tables)
+                ranges = self._morsel_ranges(scan_edge_count(graph, primary_scan(root)))
+                payloads = self._dispatch(query_id, spec_bytes, phase, ranges)
+                return [payloads[index][4] for index in sorted(payloads)]
+
+            def make_table(join, morsels) -> Tuple[Dict[str, str], float]:
+                # The barrier runs as one task on a worker: the build frames
+                # are already spooled there, and this (multi-threaded)
+                # process stays free of per-query table allocations.
+                phase = ("table", node_index[id(join)], [m.rows for m in morsels])
+                return self._dispatch(query_id, spec_bytes, phase, [None])[0][4]
+
             try:
-                payloads = self._dispatch(query_id, spec_bytes, ranges)
+                result, runs = execute_phases(
+                    plan, graph, base_config, collect, self.num_workers, run_phase,
+                    make_table,
+                )
                 break
             except _WorkerDied:
                 self._respawn_dead()
@@ -680,18 +765,37 @@ class MorselProcessPool:
                     )
                 # Retry the whole query under a fresh id: results of the
                 # abandoned attempt are discarded by id on arrival.
-        elapsed = time.perf_counter() - start_time
-        return self._merge(plan, payloads, ranges, base_config, collect, elapsed)
+            finally:
+                self._remove_query_spool()
+        self._record_runs(result, runs)
+        return result
+
+    def _remove_query_spool(self) -> None:
+        """Delete the spooled build frames and join tables (``q<id>-*.npy``)
+        of the query that just ended and of any abandoned attempt."""
+        spool = self._spool_dir
+        if spool is None:  # the pool was closed mid-query; close() cleaned up
+            return
+        for name in os.listdir(spool):
+            if name.startswith("q") and name.endswith(".npy"):
+                try:
+                    os.unlink(os.path.join(spool, name))
+                except OSError:
+                    pass
 
     def _dispatch(
-        self, query_id: int, spec_bytes: bytes, ranges: List[Tuple[int, int]]
+        self,
+        query_id: int,
+        spec_bytes: bytes,
+        phase: tuple,
+        ranges: List[Optional[Tuple[int, int]]],
     ) -> Dict[int, tuple]:
         for index, scan_range in enumerate(ranges):
             # The enqueue timestamp rides with the task so the worker can
             # measure its own queue wait (monotonic clocks are shared across
             # processes on Linux; see the module docstring).
             self._task_queue.put(
-                ("task", query_id, index, spec_bytes, scan_range, time.monotonic())
+                ("task", query_id, index, spec_bytes, phase, scan_range, time.monotonic())
             )
         payloads: Dict[int, tuple] = {}
         while len(payloads) < len(ranges):
@@ -712,53 +816,19 @@ class MorselProcessPool:
             payloads[message[2]] = message
         return payloads
 
-    def _merge(
-        self,
-        plan: Plan,
-        payloads: Dict[int, tuple],
-        ranges: List[Tuple[int, int]],
-        base_config: ExecutionConfig,
-        collect: bool,
-        elapsed: float,
-    ) -> ParallelResult:
-        total = 0
-        merged = ExecutionProfile()
-        truncated = False
-        deadline_exceeded = False
-        per_worker_work = [0] * self.num_workers
+    def _record_runs(self, result: ParallelResult, runs: List[MorselRun]) -> None:
+        """Fold the morsel runs of one finished query into the worker summary
+        (skew, critical path), the pool counters and the trace records."""
         query_busy = [0.0] * self.num_workers
         # Per-worker total seconds on this query including setup stages
         # (deserialize, base load, overlay rebuild) — the critical-path basis.
         query_total = [0.0] * self.num_workers
         morsel_records: List[dict] = []
-        matches: Optional[List[Tuple[int, ...]]] = [] if collect else None
-        vertex_order: Tuple[str, ...] = ()
-        for index in sorted(payloads):
-            (
-                _,
-                _,
-                _,
-                worker_id,
-                count,
-                rows,
-                v_order,
-                profile,
-                m_truncated,
-                m_deadline,
-                timings,
-            ) = payloads[index]
+        for run in runs:
+            timings = run.timings
             busy = timings.get("execute", 0.0)
-            total += count
-            merged = merged.merge(profile)
-            per_worker_work[worker_id] += profile.intersection_cost + count
-            truncated = truncated or m_truncated
-            deadline_exceeded = deadline_exceeded or m_deadline
-            if v_order:
-                vertex_order = v_order
-            if matches is not None and rows:
-                matches.extend(rows)
-            query_busy[worker_id] += busy
-            query_total[worker_id] += (
+            query_busy[run.worker_id] += busy
+            query_total[run.worker_id] += (
                 busy
                 + timings.get("deserialize", 0.0)
                 + timings.get("base_load", 0.0)
@@ -766,27 +836,22 @@ class MorselProcessPool:
             )
             self.morsel_seconds.observe(busy)
             self.queue_wait_seconds.observe(timings.get("queue_wait", 0.0))
-            record = {"morsel_index": index, "worker_id": worker_id, "rows": count}
+            record = {
+                "phase": run.phase,
+                "morsel_index": run.index,
+                "worker_id": run.worker_id,
+                "rows": run.count,
+            }
             record.update(timings)
             morsel_records.append(record)
-        limit = base_config.output_limit
-        if limit is not None and total > limit:
-            total = limit
-            truncated = True
-        if matches is not None and limit is not None and len(matches) > limit:
-            matches = matches[:limit]
-        merged.elapsed_seconds = elapsed
-        merged.output_matches = total
-        # One profile per morsel was folded in; normalise busy-vs-wall by the
-        # process count, mirroring the thread executor.
-        merged.workers = self.num_workers
         active = [b for b in query_busy if b > 0]
         skew = (max(active) * len(active) / sum(active)) if active else 1.0
-        merged.skew = skew
-        merged.critical_path_seconds = max(query_total) if query_total else 0.0
+        result.profile.skew = skew
+        result.profile.critical_path_seconds = max(query_total) if query_total else 0.0
+        result.morsel_records = morsel_records
         with self._state_lock:
             self._counters["queries"] += 1
-            self._counters["tasks"] += len(ranges)
+            self._counters["tasks"] += len(runs)
             for record in morsel_records:
                 if "base_cache_hit" in record:
                     key = "base_cache_hits" if record["base_cache_hit"] else "base_cache_misses"
@@ -795,23 +860,10 @@ class MorselProcessPool:
                     self._counters["overlay_rebuilds"] += 1
             for worker_id, busy in enumerate(query_busy):
                 self._worker_busy_seconds[worker_id] += busy
-            for index in payloads:
-                self._worker_morsels[payloads[index][3]] += 1
+            for run in runs:
+                self._worker_morsels[run.worker_id] += 1
             self._last_query_skew = skew
         self._fold_worker_metrics(morsel_records)
-        return ParallelResult(
-            plan=plan,
-            num_matches=total,
-            profile=merged,
-            num_workers=self.num_workers,
-            elapsed_seconds=elapsed,
-            per_worker_work=per_worker_work,
-            truncated=truncated,
-            deadline_exceeded=deadline_exceeded,
-            matches=matches,
-            vertex_order=vertex_order,
-            morsel_records=morsel_records,
-        )
 
     # ------------------------------------------------------------------ #
     # observability

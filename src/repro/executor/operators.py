@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -332,6 +332,23 @@ class ExtendIntersectOperator(Operator):
         self.profile.record_operator(self.extend_node.display_name(), out=emitted)
 
 
+HashTable = Dict[Tuple[int, ...], List[Tuple[int, ...]]]
+
+
+def hash_table(node: HashJoinNode, rows: Iterable[Sequence[int]]) -> HashTable:
+    """The iterator engine's hash table for ``node``: join-key tuple → build
+    payload tuples, in the order the build rows arrive (so probing yields
+    matches in serial order).  The serial operator feeds it its build
+    child's tuples; the parallel executors feed it the build phase's rows,
+    concatenated in morsel order, once per query."""
+    key_idx, _, payload_idx, _ = resolve_hash_join(node)
+    table: HashTable = {}
+    for t in rows:
+        key = tuple(t[i] for i in key_idx)
+        table.setdefault(key, []).append(tuple(t[i] for i in payload_idx))
+    return table
+
+
 class HashJoinOperator(Operator):
     """Classic hash join on the shared query vertices of its children.
 
@@ -341,27 +358,29 @@ class HashJoinOperator(Operator):
     """
 
     def __init__(
-        self, node: HashJoinNode, build: Operator, probe: Operator, *args, **kwargs
+        self,
+        node: HashJoinNode,
+        build: Optional[Operator],
+        probe: Operator,
+        *args,
+        table: Optional[HashTable] = None,
+        **kwargs,
     ) -> None:
         super().__init__(node, *args, **kwargs)
         self.join_node = node
         self.build_child = build
         self.probe_child = probe
-        (
-            self._build_key_idx,
-            self._probe_key_idx,
-            self._build_payload_idx,
-            self._filter_edges,
-        ) = resolve_hash_join(node)
+        # Prebuilt table (parallel execution), already counted as table
+        # entries by the coordinator.
+        self.table = table
+        _, self._probe_key_idx, _, self._filter_edges = resolve_hash_join(node)
 
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        table: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        entries = 0
-        for t in self.build_child:
-            key = tuple(t[i] for i in self._build_key_idx)
-            table.setdefault(key, []).append(tuple(t[i] for i in self._build_payload_idx))
-            entries += 1
-        self.profile.hash_table_entries += entries
+        table = self.table
+        if table is None:
+            table = hash_table(self.join_node, self.build_child)
+            entries = sum(len(payloads) for payloads in table.values())
+            self.profile.record_hash_table(self.join_node.display_name(), entries)
 
         emitted = 0
         ticks = 0
@@ -389,11 +408,7 @@ class HashJoinOperator(Operator):
                 emitted += 1
                 yield out
         self._emit(emitted)
-        self.profile.record_operator(
-            self.join_node.display_name(),
-            out=emitted,
-            entries=entries,
-        )
+        self.profile.record_operator(self.join_node.display_name(), out=emitted)
 
 
 def build_operator_tree(
@@ -402,15 +417,29 @@ def build_operator_tree(
     profile: ExecutionProfile,
     config: ExecutionConfig,
     is_root: bool = True,
+    join_tables: Optional[Dict[int, HashTable]] = None,
 ) -> Operator:
-    """Recursively wire physical operators for a plan subtree."""
+    """Recursively wire physical operators for a plan subtree.
+
+    ``join_tables`` maps ``id(HashJoinNode)`` to that join's prebuilt
+    :func:`hash_table` (parallel execution); such a join probes it instead
+    of wiring and running its build sub-plan.
+    """
+    tables = join_tables or {}
     if isinstance(node, ScanNode):
         return ScanOperator(node, graph, profile, config, is_root)
     if isinstance(node, ExtendNode):
-        child = build_operator_tree(node.child, graph, profile, config, is_root=False)
+        child = build_operator_tree(node.child, graph, profile, config, False, tables)
         return ExtendIntersectOperator(node, child, graph, profile, config, is_root)
     if isinstance(node, HashJoinNode):
-        build = build_operator_tree(node.build, graph, profile, config, is_root=False)
-        probe = build_operator_tree(node.probe, graph, profile, config, is_root=False)
-        return HashJoinOperator(node, build, probe, graph, profile, config, is_root)
+        table = tables.get(id(node))
+        build = (
+            build_operator_tree(node.build, graph, profile, config, False, tables)
+            if table is None
+            else None
+        )
+        probe = build_operator_tree(node.probe, graph, profile, config, False, tables)
+        return HashJoinOperator(
+            node, build, probe, graph, profile, config, is_root, table=table
+        )
     raise PlanError(f"unknown plan node type: {type(node).__name__}")

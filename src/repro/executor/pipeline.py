@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import DeadlineExceededError
 from repro.executor.operators import ExecutionConfig, build_operator_tree
 from repro.executor.profile import ExecutionProfile
 from repro.graph.graph import Graph
-from repro.planner.plan import Plan
+from repro.planner.plan import Plan, PlanNode
 
 
 @dataclass
@@ -47,6 +49,7 @@ def execute_plan(
     graph: Graph,
     config: Optional[ExecutionConfig] = None,
     collect: bool = False,
+    join_tables: Optional[Dict[int, object]] = None,
 ) -> ExecutionResult:
     """Run ``plan`` on ``graph``.
 
@@ -61,14 +64,25 @@ def execute_plan(
     collect:
         When True the matches themselves are materialised (tuples of vertex ids
         in the plan root's ``out_vertices`` order); otherwise only counted.
+    join_tables:
+        Prebuilt hash-join tables keyed by ``id(HashJoinNode)`` — a
+        :func:`~repro.executor.operators.hash_table` dict for the iterator
+        engine, a :class:`~repro.executor.vectorized.JoinTable` for the
+        vectorized one.
+        The parallel executors build each table once per query and pass it
+        to every probe morsel.
     """
     config = config or ExecutionConfig()
     if config.vectorized:
         from repro.executor.vectorized import execute_plan_vectorized
 
-        return execute_plan_vectorized(plan, graph, config=config, collect=collect)
+        return execute_plan_vectorized(
+            plan, graph, config=config, collect=collect, join_tables=join_tables
+        )
     profile = ExecutionProfile()
-    root = build_operator_tree(plan.root, graph, profile, config, is_root=True)
+    root = build_operator_tree(
+        plan.root, graph, profile, config, is_root=True, join_tables=join_tables
+    )
     matches: Optional[List[Tuple[int, ...]]] = [] if collect else None
     count = 0
     truncated = False
@@ -101,6 +115,61 @@ def execute_plan(
         truncated=truncated,
         deadline_exceeded=deadline_exceeded,
     )
+
+
+@dataclass
+class BuildSideResult:
+    """The rows one (morsel of a) hash-join build sub-plan produced."""
+
+    rows: np.ndarray
+    profile: ExecutionProfile
+    deadline_exceeded: bool = False
+
+
+def execute_build_side(
+    node: PlanNode,
+    graph: Graph,
+    config: ExecutionConfig,
+    join_tables: Optional[Dict[int, object]] = None,
+) -> BuildSideResult:
+    """Run the build sub-plan rooted at ``node`` and return its rows as one
+    ``int64`` frame in ``node.out_vertices`` order.
+
+    Accounting matches the serial run of the enclosing plan: ``node`` is not
+    the plan root, so its output counts as intermediate matches, and the
+    output limit does not apply (a hash join consumes its whole build side,
+    and only the plan-level drive loops enforce the limit).
+    """
+    profile = ExecutionProfile()
+    width = len(node.out_vertices)
+    deadline_exceeded = False
+    start = time.perf_counter()
+    if config.vectorized:
+        from repro.executor.vectorized import build_batch_operator_tree, concat_frames
+
+        root = build_batch_operator_tree(
+            node, graph, profile, config, is_root=False, join_tables=join_tables
+        )
+        frames: List[np.ndarray] = []
+        try:
+            for frame in root.frames():
+                frames.append(frame)
+        except DeadlineExceededError:
+            deadline_exceeded = True
+        rows = concat_frames(frames, width)
+    else:
+        operator = build_operator_tree(
+            node, graph, profile, config, is_root=False, join_tables=join_tables
+        )
+        tuples: List[Tuple[int, ...]] = []
+        try:
+            for t in operator:
+                tuples.append(t)
+        except DeadlineExceededError:
+            deadline_exceeded = True
+        rows = np.array(tuples, dtype=np.int64).reshape(len(tuples), width)
+    profile.elapsed_seconds = time.perf_counter() - start
+    return BuildSideResult(rows=rows, profile=profile, deadline_exceeded=deadline_exceeded)
 
 
 def count_matches(plan: Plan, graph: Graph, config: Optional[ExecutionConfig] = None) -> int:

@@ -86,6 +86,13 @@ class ExecutionProfile:
         for key, value in counters.items():
             entry[key] = entry.get(key, 0) + int(value)
 
+    def record_hash_table(self, name: str, entries: int) -> None:
+        """A hash-join build side of ``entries`` rows was turned into a table
+        (once per query, whether built serially or by the parallel
+        coordinator)."""
+        self.hash_table_entries += int(entries)
+        self.record_operator(name, entries=entries)
+
     def record_operator_time(self, name: str, seconds: float) -> None:
         self.operator_seconds[name] = self.operator_seconds.get(name, 0.0) + seconds
 

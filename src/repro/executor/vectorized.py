@@ -58,7 +58,7 @@ synchronous compaction on the query path (delta-merge invariants in
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ from repro.planner.plan import ExtendNode, HashJoinNode, Plan, PlanNode, ScanNod
 _EMPTY_I64 = np.array([], dtype=np.int64)
 
 # Composite hash-join keys are packed into one int64 code; beyond this many
-# bits the operator falls back to a per-row Python hash table.
+# bits JoinTable falls back to dense codes looked up through a Python dict.
 _CODE_BITS = 62
 
 
@@ -418,44 +418,159 @@ class BatchExtendIntersectOperator(BatchOperator):
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
 
 
-class BatchHashJoinOperator(BatchOperator):
-    """Hash join over columnar batches.
+class JoinTable:
+    """A hash-join build side, sorted once into a probe-ready table.
 
-    The build side is concatenated into one frame and sorted by an encoded
-    composite join key; every probe batch is then matched with a single
-    vectorized binary search and expanded with ragged gathers.  Join keys
-    whose packed width would overflow 62 bits fall back to a per-row Python
-    hash table (unreachable for realistic graph sizes, kept for safety).
+    The composite join key of every build row is packed into one ``int64``
+    code (mixed radix ``num_vertices``); rows are stable-sorted by code so
+    equal keys form one run, and each probe batch is then matched with a
+    single vectorized binary search over the distinct codes.  Keys too wide
+    to pack in 62 bits get dense codes instead: the distinct key rows are
+    kept and probes map through a Python dict (unreachable for realistic
+    graph sizes, kept for safety).
+
+    The one constructor, :meth:`from_rows`, serves both the serial
+    :class:`BatchHashJoinOperator` and the parallel coordinators, which build
+    the table once per query and share it with every probe morsel (in memory
+    for threads, as spooled ``.npy`` arrays for worker processes).
     """
 
     def __init__(
-        self, node: HashJoinNode, build: BatchOperator, probe: BatchOperator, *args, **kwargs
+        self,
+        codes: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        payload: np.ndarray,
+        wide_keys: Optional[np.ndarray] = None,
+        radix: int = 1,
+    ) -> None:
+        self.codes = codes  # sorted distinct key codes
+        self.starts = starts  # first sorted-payload row of each code's run
+        self.counts = counts  # run length of each code
+        self.payload = payload  # build payload columns, sorted by code
+        self.wide_keys = wide_keys  # distinct key rows when codes are dense
+        self.radix = radix
+        self._wide_index: Optional[dict] = None
+
+    @property
+    def entries(self) -> int:
+        return int(self.payload.shape[0])
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The arrays that fully describe the table (the process pool spools
+        them as ``.npy`` files for its workers to map)."""
+        arrays = {
+            "codes": self.codes,
+            "starts": self.starts,
+            "counts": self.counts,
+            "payload": self.payload,
+            "radix": np.array([self.radix], dtype=np.int64),
+        }
+        if self.wide_keys is not None:
+            arrays["wide_keys"] = self.wide_keys
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "JoinTable":
+        """Inverse of :meth:`to_arrays` (the arrays may be read-only maps)."""
+        return cls(
+            arrays["codes"],
+            arrays["starts"],
+            arrays["counts"],
+            arrays["payload"],
+            arrays.get("wide_keys"),
+            int(arrays["radix"][0]),
+        )
+
+    @staticmethod
+    def _pack(key_cols: np.ndarray, radix: int) -> np.ndarray:
+        codes = key_cols[:, 0].astype(np.int64, copy=True)
+        for j in range(1, key_cols.shape[1]):
+            codes = codes * radix + key_cols[:, j]
+        return codes
+
+    @classmethod
+    def from_rows(cls, node: HashJoinNode, rows: np.ndarray, num_vertices: int) -> "JoinTable":
+        """Sort the build side of ``node`` (2-D ``int64`` rows in its build
+        child's ``out_vertices`` order) into a table keyed by the join
+        vertices and carrying the build-only columns."""
+        import math
+
+        key_idx, _, payload_idx, _ = resolve_hash_join(node)
+        radix = max(num_vertices, 1)
+        key_cols = rows[:, key_idx]
+        wide_keys = None
+        if len(key_idx) * math.log2(max(num_vertices, 2)) < _CODE_BITS:
+            codes = cls._pack(key_cols, radix) if rows.shape[0] else _EMPTY_I64
+        else:
+            wide_keys, codes = np.unique(key_cols, axis=0, return_inverse=True)
+            codes = codes.reshape(-1).astype(np.int64)
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        starts, counts, _ = _group_runs(sorted_codes)
+        return cls(
+            sorted_codes[starts], starts, counts, rows[order][:, payload_idx], wide_keys, radix
+        )
+
+    def encode(self, key_cols: np.ndarray) -> np.ndarray:
+        """Probe-side key codes; a wide key absent from the build side maps
+        to ``-1``, which no table code equals."""
+        if self.wide_keys is None:
+            return self._pack(key_cols, self.radix)
+        if self._wide_index is None:
+            self._wide_index = {
+                tuple(row): code for code, row in enumerate(self.wide_keys.tolist())
+            }
+        index = self._wide_index
+        return np.fromiter(
+            (index.get(tuple(row), -1) for row in key_cols.tolist()),
+            dtype=np.int64,
+            count=key_cols.shape[0],
+        )
+
+    def match(self, key_cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(probe rows with a match, their run starts, their run lengths)``
+        for a batch of probe key columns."""
+        if len(self.codes) == 0 or key_cols.shape[0] == 0:
+            return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
+        probe_codes = self.encode(key_cols)
+        loc = np.searchsorted(self.codes, probe_codes)
+        valid = loc < len(self.codes)
+        hit = np.zeros(len(probe_codes), dtype=bool)
+        hit[valid] = self.codes[loc[valid]] == probe_codes[valid]
+        rows = np.flatnonzero(hit)
+        matched = loc[rows]
+        return rows, self.starts[matched], self.counts[matched]
+
+
+class BatchHashJoinOperator(BatchOperator):
+    """Hash join over columnar batches.
+
+    The build side is concatenated into one frame and sorted into a
+    :class:`JoinTable` (or arrives prebuilt from a parallel coordinator);
+    every probe batch is then matched with a single vectorized binary search
+    and expanded with ragged gathers.
+    """
+
+    def __init__(
+        self,
+        node: HashJoinNode,
+        build: Optional[BatchOperator],
+        probe: BatchOperator,
+        *args,
+        table: Optional[JoinTable] = None,
+        **kwargs,
     ) -> None:
         super().__init__(node, *args, **kwargs)
         self.join_node = node
         self.build_child = build
         self.probe_child = probe
-        build_key_idx, probe_key_idx, build_payload_idx, self._filter_edges = (
-            resolve_hash_join(node)
-        )
-        self._build_key_idx = np.array(build_key_idx, dtype=np.int64)
+        _, probe_key_idx, _, self._filter_edges = resolve_hash_join(node)
         self._probe_key_idx = np.array(probe_key_idx, dtype=np.int64)
-        self._build_payload_idx = np.array(build_payload_idx, dtype=np.int64)
         self._name = node.display_name()
+        self.table = table
 
     # ------------------------------------------------------------------ #
-    def _encode(self, key_cols: np.ndarray) -> np.ndarray:
-        codes = key_cols[:, 0].copy()
-        n_vertices = max(self.graph.num_vertices, 1)
-        for j in range(1, key_cols.shape[1]):
-            codes = codes * n_vertices + key_cols[:, j]
-        return codes
-
-    def _codes_fit(self) -> bool:
-        import math
-
-        n_vertices = max(self.graph.num_vertices, 2)
-        return len(self._build_key_idx) * math.log2(n_vertices) < _CODE_BITS
 
     def _post_filter(self, out: np.ndarray) -> np.ndarray:
         mask = np.ones(out.shape[0], dtype=bool)
@@ -470,50 +585,29 @@ class BatchHashJoinOperator(BatchOperator):
         return out if mask.all() else out[mask]
 
     def frames(self) -> Iterator[np.ndarray]:
-        build_frames = list(self.build_child.frames())
-        build = (
-            np.concatenate(build_frames, axis=0)
-            if build_frames
-            else np.empty((0, len(self.join_node.build.out_vertices)), dtype=np.int64)
-        )
-        self.profile.hash_table_entries += build.shape[0]
-        if not self._codes_fit():
-            yield from self._frames_python_table(build)
-            return
-        t0 = time.perf_counter()
-        build_codes = self._encode(build[:, self._build_key_idx]) if build.shape[0] else _EMPTY_I64
-        order = np.argsort(build_codes, kind="stable")
-        sorted_codes = build_codes[order]
-        sorted_payload = build[order][:, self._build_payload_idx]
-        table_starts, table_counts, _ = _group_runs(sorted_codes)
-        unique_codes = sorted_codes[table_starts]
-        self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+        table = self.table
+        if table is None:
+            build = concat_frames(
+                list(self.build_child.frames()), len(self.join_node.build.out_vertices)
+            )
+            t0 = time.perf_counter()
+            table = JoinTable.from_rows(self.join_node, build, self.graph.num_vertices)
+            self.profile.record_hash_table(self._name, table.entries)
+            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
 
         for probe_frame in self.probe_child.frames():
             self._check_deadline()
             t0 = time.perf_counter()
             self.profile.hash_probes += probe_frame.shape[0]
-            if len(unique_codes) == 0:
-                self.profile.record_operator_time(self._name, time.perf_counter() - t0)
-                continue
-            probe_codes = self._encode(probe_frame[:, self._probe_key_idx])
-            loc = np.searchsorted(unique_codes, probe_codes)
-            valid = loc < len(unique_codes)
-            hit = np.zeros(len(probe_codes), dtype=bool)
-            hit[valid] = unique_codes[loc[valid]] == probe_codes[valid]
-            rows = np.flatnonzero(hit)
-            if rows.size == 0:
-                self.profile.record_operator_time(self._name, time.perf_counter() - t0)
-                continue
-            matched = loc[rows]
-            match_counts = table_counts[matched]
-            match_starts = table_starts[matched]
+            rows, match_starts, match_counts = table.match(
+                probe_frame[:, self._probe_key_idx]
+            )
             # Chunk the expansion so heavily duplicated join keys cannot blow
             # up a single output frame (same bound as the E/I operator).
             for lo, hi in _expansion_segments(match_counts, max(1, self.config.batch_size)):
                 counts = match_counts[lo:hi]
                 probe_expanded = probe_frame[np.repeat(rows[lo:hi], counts)]
-                payload = sorted_payload[_ragged_positions(match_starts[lo:hi], counts)]
+                payload = table.payload[_ragged_positions(match_starts[lo:hi], counts)]
                 out = self._post_filter(np.concatenate([probe_expanded, payload], axis=1))
                 if out.shape[0]:
                     self.profile.record_operator_time(self._name, time.perf_counter() - t0)
@@ -522,23 +616,12 @@ class BatchHashJoinOperator(BatchOperator):
                     t0 = time.perf_counter()
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
 
-    def _frames_python_table(self, build: np.ndarray) -> Iterator[np.ndarray]:
-        table = {}
-        for row in build.tolist():
-            key = tuple(row[i] for i in self._build_key_idx)
-            table.setdefault(key, []).append([row[i] for i in self._build_payload_idx])
-        for probe_frame in self.probe_child.frames():
-            self._check_deadline()
-            self.profile.hash_probes += probe_frame.shape[0]
-            out_rows = []
-            for row in probe_frame.tolist():
-                payloads = table.get(tuple(row[i] for i in self._probe_key_idx))
-                if payloads:
-                    out_rows.extend(row + payload for payload in payloads)
-            if out_rows:
-                out = self._post_filter(np.asarray(out_rows, dtype=np.int64))
-                if out.shape[0]:
-                    yield self._yield_frame(self._name, out)
+
+def concat_frames(frames: List[np.ndarray], width: int) -> np.ndarray:
+    """Concatenate ``frames`` in order into one ``(rows, width)`` frame."""
+    if not frames:
+        return np.empty((0, width), dtype=np.int64)
+    return frames[0] if len(frames) == 1 else np.concatenate(frames, axis=0)
 
 
 def build_batch_operator_tree(
@@ -547,17 +630,31 @@ def build_batch_operator_tree(
     profile: ExecutionProfile,
     config: ExecutionConfig,
     is_root: bool = True,
+    join_tables: Optional[Dict[int, JoinTable]] = None,
 ) -> BatchOperator:
-    """Recursively wire batch operators for a plan subtree."""
+    """Recursively wire batch operators for a plan subtree.
+
+    ``join_tables`` maps ``id(HashJoinNode)`` to that join's prebuilt table
+    (parallel execution); such a join probes it instead of wiring and running
+    its build sub-plan.
+    """
+    tables = join_tables or {}
     if isinstance(node, ScanNode):
         return BatchScanOperator(node, graph, profile, config, is_root)
     if isinstance(node, ExtendNode):
-        child = build_batch_operator_tree(node.child, graph, profile, config, is_root=False)
+        child = build_batch_operator_tree(node.child, graph, profile, config, False, tables)
         return BatchExtendIntersectOperator(node, child, graph, profile, config, is_root)
     if isinstance(node, HashJoinNode):
-        build = build_batch_operator_tree(node.build, graph, profile, config, is_root=False)
-        probe = build_batch_operator_tree(node.probe, graph, profile, config, is_root=False)
-        return BatchHashJoinOperator(node, build, probe, graph, profile, config, is_root)
+        table = tables.get(id(node))
+        build = (
+            build_batch_operator_tree(node.build, graph, profile, config, False, tables)
+            if table is None
+            else None
+        )
+        probe = build_batch_operator_tree(node.probe, graph, profile, config, False, tables)
+        return BatchHashJoinOperator(
+            node, build, probe, graph, profile, config, is_root, table=table
+        )
     raise PlanError(f"unknown plan node type: {type(node).__name__}")
 
 
@@ -566,6 +663,7 @@ def execute_plan_vectorized(
     graph: Graph,
     config: Optional[ExecutionConfig] = None,
     collect: bool = False,
+    join_tables: Optional[Dict[int, JoinTable]] = None,
 ):
     """Run ``plan`` with the batch-at-a-time engine.
 
@@ -577,7 +675,9 @@ def execute_plan_vectorized(
 
     config = config or ExecutionConfig(vectorized=True)
     profile = ExecutionProfile()
-    root = build_batch_operator_tree(plan.root, graph, profile, config, is_root=True)
+    root = build_batch_operator_tree(
+        plan.root, graph, profile, config, is_root=True, join_tables=join_tables
+    )
     frames: Optional[List[np.ndarray]] = [] if collect else None
     count = 0
     truncated = False

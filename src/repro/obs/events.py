@@ -219,27 +219,75 @@ def iter_events(
                 yield record
 
 
+def _rotation_chain(path: str, max_backups: int) -> Optional[List[tuple]]:
+    """One ``(path, inode)`` listing of the rotated chain ``<path>.N …
+    <path>.1, <path>`` (oldest → newest), or ``None`` when the listing is
+    torn: the active file missing or replaced while the scan ran, a gap in
+    the numbered backups, or one inode seen under two names.
+    :meth:`EventLog._rotate_locked` shifts the backups one rename at a time,
+    oldest first, then renames the active file away and starts a new one, so
+    a scan that interleaves with a rotation always shows one of these
+    shapes; every settled chain is contiguous."""
+    try:
+        active_before = os.stat(path).st_ino
+    except OSError:
+        return None
+    entries = []
+    numbers = []
+    for number in range(max_backups, -1, -1):
+        candidate = f"{path}.{number}" if number else path
+        try:
+            entries.append((candidate, os.stat(candidate).st_ino))
+        except OSError:
+            continue
+        numbers.append(number)
+    inodes = [ino for _, ino in entries]
+    if (
+        not numbers
+        or numbers[-1] != 0
+        or numbers != list(range(len(numbers) - 1, -1, -1))
+        or len(set(inodes)) != len(inodes)
+        or inodes[-1] != active_before
+    ):
+        return None
+    return entries
+
+
+#: How often (and how far apart) a follower re-scans a torn rotation chain
+#: before concluding its file was rotated past retention; a rotation is a
+#: handful of renames, so 0.2 s outlasts any real one.
+_CHAIN_SCAN_ATTEMPTS = 100
+_CHAIN_SCAN_RETRY_SECONDS = 0.002
+
+
 def _open_rotation_successor(path: str, old_ino: int, max_backups: int = 16):
     """Open the file that follows the one holding ``old_ino`` in the rotated
     chain ``<path>.N … <path>.1, <path>`` (oldest → newest), or ``None``
     when the old file fell out of retention (the follower then resumes at
     the active file; the dropped interval is unrecoverable by design).
 
-    Racy by nature — the writer may rotate again between the stat scan and
-    the open — so the opened file's inode is re-verified and the scan
-    retried a few times before giving up."""
-    for _ in range(4):
-        entries = []
-        for candidate in [f"{path}.{i}" for i in range(max_backups, 0, -1)] + [path]:
-            try:
-                entries.append((candidate, os.stat(candidate).st_ino))
-            except OSError:
-                continue
+    Racy by nature — the writer may be mid-rotation during the scan, or
+    rotate again between the scan and the open.  A torn listing (see
+    :func:`_rotation_chain`), a listing that does not yet show the old file
+    as rotated away, and an opened file whose inode no longer matches are
+    all retried after a short pause; only a consistent listing without the
+    old inode means it was rotated past retention.  Reading a torn listing
+    as "past retention" would silently skip every record in between.
+    ``max_backups`` should be the writer's configured retention: backups
+    beyond it are stale leftovers, not part of the chain."""
+    for attempt in range(_CHAIN_SCAN_ATTEMPTS):
+        if attempt:
+            time.sleep(_CHAIN_SCAN_RETRY_SECONDS)
+        entries = _rotation_chain(path, max_backups)
+        if entries is None:
+            continue
         index = next(
             (k for k, (_, ino) in enumerate(entries) if ino == old_ino), None
         )
-        if index is None or index + 1 >= len(entries):
+        if index is None:
             return None
+        if index + 1 >= len(entries):
+            continue  # still the active file: the rotation has not landed
         next_path, next_ino = entries[index + 1]
         try:
             handle = open(next_path, "rb")
@@ -257,6 +305,7 @@ def follow_events(
     poll_interval: float = 0.25,
     stop: Optional[object] = None,
     start_at_end: bool = True,
+    max_backups: int = 16,
 ) -> Iterator[dict]:
     """Yield records appended to the active log file as they arrive — the
     ``tail -F`` of the event stream, shared by ``repro events --follow`` and
@@ -276,7 +325,8 @@ def follow_events(
     ``stop`` is an optional zero-argument callable polled between reads;
     when it turns truthy the generator returns (the HTTP handler passes the
     server's shutdown flag).  ``start_at_end=False`` replays the active
-    file from its beginning first.
+    file from its beginning first.  ``max_backups`` is the writer's backup
+    retention (:attr:`EventLog.backups`) when the caller knows it.
     """
     wanted = set(types) if types else None
     should_stop = stop if callable(stop) else (lambda: False)
@@ -316,7 +366,7 @@ def follow_events(
                 if rotated:
                     handle.close()
                     handle = (
-                        _open_rotation_successor(path, our_ino)
+                        _open_rotation_successor(path, our_ino, max_backups)
                         if our_ino is not None
                         else None
                     )

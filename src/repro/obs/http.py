@@ -312,6 +312,7 @@ class _Handler(BaseHTTPRequestHandler):
             types=types,
             poll_interval=self.ops.poll_interval,
             stop=stopping.is_set,
+            max_backups=log.backups,
         ):
             self._write_ndjson_record(record)
 

@@ -145,7 +145,11 @@ class QueryTrace:
     def worker_summary(self) -> Optional[dict]:
         """Aggregate the per-morsel ``morsel`` child spans (process-mode
         executions) into per-worker totals plus the query's skew and
-        critical path; ``None`` when the trace has no worker spans."""
+        critical path; ``None`` when the trace has no worker spans.
+
+        ``rows`` counts output rows (probe-phase morsels); the rows that
+        build-phase morsels (``phase="build"``) produced for hash-join
+        tables are counted separately as ``build_rows``."""
         morsels = [s for s in self.spans if s.name == "morsel"]
         if not morsels:
             return None
@@ -154,12 +158,20 @@ class QueryTrace:
             attrs = span.attributes
             key = f"w{attrs.get('worker_id', '?')}"
             entry = workers.setdefault(
-                key, {"morsels": 0, "busy_seconds": 0.0, "queue_wait_seconds": 0.0, "rows": 0}
+                key,
+                {
+                    "morsels": 0,
+                    "busy_seconds": 0.0,
+                    "queue_wait_seconds": 0.0,
+                    "rows": 0,
+                    "build_rows": 0,
+                },
             )
             entry["morsels"] += 1
             entry["busy_seconds"] += span.seconds
             entry["queue_wait_seconds"] += float(attrs.get("queue_wait", 0.0))
-            entry["rows"] += int(attrs.get("rows", 0))
+            rows_key = "build_rows" if attrs.get("phase") == "build" else "rows"
+            entry[rows_key] += int(attrs.get("rows", 0))
         execute = self.span("execute")
         summary = {"morsels": len(morsels), "workers": workers}
         if execute is not None:
@@ -224,6 +236,7 @@ class QueryTrace:
                     f"busy={entry['busy_seconds'] * 1e3:.2f}ms  "
                     f"queue-wait={entry['queue_wait_seconds'] * 1e3:.2f}ms  "
                     f"rows={entry['rows']}"
+                    + (f"  build-rows={entry['build_rows']}" if entry["build_rows"] else "")
                 )
         if self.operators:
             lines.append("  operators (actual vs estimated cardinality):")

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import time
-from itertools import permutations, product
 from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import clustered_social, complete_graph, erdos_renyi
-from repro.graph.graph import Graph
+from repro.graph.graph import Direction, Graph
 from repro.query.query_graph import QueryGraph
 
 
@@ -39,16 +38,108 @@ def wait_until(
 
 
 # --------------------------------------------------------------------------- #
-# reference matcher
+# reference matchers
 # --------------------------------------------------------------------------- #
+def _binding_order(query: QueryGraph) -> List[Tuple[str, Optional[tuple], List[tuple]]]:
+    """Bind query vertices in a connected (BFS) order.
+
+    Returns one ``(vertex, anchor, checks)`` step per query vertex: ``anchor``
+    is ``(bound vertex, direction, edge label)`` — the query edge whose data
+    neighbours supply the candidates (``None`` for the first vertex of each
+    connected component) — and ``checks`` lists every other query edge
+    ``(src, dst, label)`` closed by binding this vertex.
+    """
+    neighbours: Dict[str, List[str]] = {v: [] for v in query.vertices}
+    for e in query.edges:
+        neighbours[e.src].append(e.dst)
+        neighbours[e.dst].append(e.src)
+    order: List[str] = []
+    for start in query.vertices:
+        if start in order:
+            continue
+        order.append(start)
+        visit = len(order) - 1
+        while visit < len(order):  # BFS, using ``order`` as the queue
+            order.extend(w for w in dict.fromkeys(neighbours[order[visit]]) if w not in order)
+            visit += 1
+    steps = []
+    bound: set = set()
+    for qv in order:
+        anchor = None
+        checks = []
+        for e in query.edges:
+            if e.src == qv and e.dst in bound:
+                edge_anchor = (e.dst, Direction.BACKWARD, e.label)
+            elif e.dst == qv and e.src in bound:
+                edge_anchor = (e.src, Direction.FORWARD, e.label)
+            else:
+                continue
+            if anchor is None:
+                anchor = edge_anchor
+            else:
+                checks.append((e.src, e.dst, e.label))
+        steps.append((qv, anchor, checks))
+        bound.add(qv)
+    return steps
+
+
 def brute_force_count(
     graph: Graph, query: QueryGraph, isomorphism: bool = False
 ) -> int:
-    """Count matches by brute-force backtracking over all assignments.
+    """Count matches by neighbour-driven backtracking.
 
-    Homomorphism semantics by default (matching the executor); pass
-    ``isomorphism=True`` for injective matches.  Only suitable for small graphs.
+    Query vertices are bound in a connected order; each one takes its
+    candidates from the data neighbours of an already-bound vertex along one
+    query edge, and every other query edge it closes is verified with
+    ``has_edge``.  Homomorphism semantics by default (matching the
+    executor); pass ``isomorphism=True`` for injective matches.  Only
+    suitable for small graphs.  :func:`exhaustive_count` is the
+    assignment-enumerating cross-check.
     """
+    steps = _binding_order(query)
+    every_vertex = list(range(graph.num_vertices))
+    neighbour_cache: Dict[tuple, List[int]] = {}
+    assignment: Dict[str, int] = {}
+
+    def candidates(anchor: Optional[tuple]) -> List[int]:
+        if anchor is None:
+            return every_vertex
+        key = (assignment[anchor[0]],) + anchor[1:]
+        if key not in neighbour_cache:
+            found = graph.neighbors(key[0], key[1], key[2])
+            neighbour_cache[key] = sorted({int(v) for v in found})
+        return neighbour_cache[key]
+
+    def extend(depth: int) -> int:
+        if depth == len(steps):
+            return 1
+        qv, anchor, checks = steps[depth]
+        label = query.vertex_label(qv)
+        used = set(assignment.values()) if isomorphism else ()
+        total = 0
+        for v in candidates(anchor):
+            if label is not None and graph.vertex_label(v) != label:
+                continue
+            if v in used:
+                continue
+            assignment[qv] = v
+            if all(
+                graph.has_edge(assignment[src], assignment[dst], edge_label)
+                for src, dst, edge_label in checks
+            ):
+                total += extend(depth + 1)
+        assignment.pop(qv, None)
+        return total
+
+    return extend(0)
+
+
+def exhaustive_count(
+    graph: Graph, query: QueryGraph, isomorphism: bool = False
+) -> int:
+    """Count matches by backtracking over all assignments of every query
+    vertex to every data vertex (the slow, obviously-correct reference
+    :func:`brute_force_count` is cross-checked against)."""
     vertices = list(query.vertices)
     candidates: Dict[str, List[int]] = {}
     for qv in vertices:

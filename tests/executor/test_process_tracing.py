@@ -118,6 +118,49 @@ class TestWorkerSpans:
             assert process.num_matches == thread.num_matches
 
 
+def _hybrid_diamond_x(db):
+    """Diamond-X as the hybrid plan the optimizer picks on the benchmark
+    graph (a hash join of two triangles), with the catalogue's estimates."""
+    from repro.planner.cost_model import annotate_operator_estimates
+    from repro.planner.plan import Plan, make_hash_join, wco_plan_from_order
+
+    q = cq.diamond_x()
+    build = wco_plan_from_order(q.project(["a1", "a2", "a3"]), ("a1", "a2", "a3"))
+    probe = wco_plan_from_order(q.project(["a2", "a3", "a4"]), ("a2", "a3", "a4"))
+    plan = Plan(query=q, root=make_hash_join(q, build.root, probe.root))
+    return annotate_operator_estimates(plan, db.cost_model_for(False))
+
+
+class TestHybridTraces:
+    def test_build_phase_spans_and_probe_rows(self, db):
+        plan = _hybrid_diamond_x(db)
+        result = db.execute(plan, num_workers=2, execution_mode="process")
+        morsels = [s for s in result.trace.spans if s.name == "morsel"]
+        build = [s for s in morsels if s.attributes["phase"] == "build"]
+        probe = [s for s in morsels if s.attributes["phase"] == "probe"]
+        assert build and probe and len(build) + len(probe) == len(morsels)
+        assert sum(s.attributes["rows"] for s in probe) == result.num_matches
+        entries = result.trace.profile["hash_table_entries"]
+        assert sum(s.attributes["rows"] for s in build) == entries
+        summary = result.trace.worker_summary()
+        assert sum(w["rows"] for w in summary["workers"].values()) == result.num_matches
+        assert sum(w["build_rows"] for w in summary["workers"].values()) == entries
+
+    def test_diamond_x_q_errors_equal_serial(self, db):
+        plan = _hybrid_diamond_x(db)
+        key = ("plan", plan.signature())
+        serial = db.execute(plan)
+        serial_feedback = db.obs.feedback.get(key).last_q_error
+        process = db.execute(plan, num_workers=2, execution_mode="process")
+
+        def q_errors(trace):
+            return {op.name: (op.actual, op.q_error) for op in trace.operators}
+
+        assert process.i_cost == serial.i_cost
+        assert q_errors(process.trace) == q_errors(serial.trace)
+        assert db.obs.feedback.get(key).last_q_error == serial_feedback
+
+
 class TestWorkerMetrics:
     def test_worker_families_populated(self, db):
         _process_result(db)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EVENT_TYPES,
     EventLog,
+    _open_rotation_successor,
+    follow_events,
     iter_events,
     tail_events,
 )
@@ -185,3 +188,80 @@ class TestConcurrency:
         for worker_id in range(4):
             seen = [e["idx"] for e in events if e["worker"] == worker_id]
             assert seen == list(range(per_thread))
+
+
+class TestFollowerTornListing:
+    """A follower's rotation-chain scan can interleave with the writer's
+    one-rename-at-a-time rotation.  Such a torn listing must be retried, not
+    read as "rotated past retention" (which would skip every record of the
+    files in between)."""
+
+    def test_follower_loses_nothing_across_a_torn_listing(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "events.jsonl")
+        real_stat = os.stat
+        with EventLog(path, max_bytes=200, backups=3) as log:
+
+            def emit(i):
+                log.emit("tick", i=i, pad="x" * 40)  # two records per file
+
+            deadline = time.monotonic() + 10.0
+            follower = follow_events(
+                path,
+                poll_interval=0.001,
+                start_at_end=False,
+                max_backups=log.backups,
+                stop=lambda: time.monotonic() > deadline,
+            )
+            emit(0)
+            assert next(follower)["i"] == 0
+            for i in range(1, 5):
+                emit(i)
+            # The held file is now <path>.2; records 2-4 sit in <path>.1 and
+            # the active file.  Inject one more rotation *into* the
+            # follower's next chain scan, right after it stats <path>.3:
+            # that scan then sees neither the held file's old name nor its
+            # new one.
+            state = {"armed": True, "fired": False}
+
+            def torn_stat(candidate, *args, **kwargs):
+                try:
+                    return real_stat(candidate, *args, **kwargs)
+                finally:
+                    if state["armed"] and os.fspath(candidate) == f"{path}.3":
+                        state["armed"] = False
+                        emit(5)
+                        emit(6)  # rotates: .2 -> .3, .1 -> .2, active -> .1
+                        state["fired"] = True
+
+            monkeypatch.setattr(os, "stat", torn_stat)
+            received = []
+            for record in follower:
+                received.append(record["i"])
+                if len(received) == 6:
+                    break
+            follower.close()
+        assert state["fired"], "the torn listing was never exercised"
+        assert received == list(range(1, 7))
+
+    def test_gap_in_chain_is_retried(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        for name in (path, f"{path}.1", f"{path}.3"):
+            open(name, "w").close()
+        old_ino = os.stat(f"{path}.3").st_ino
+        # <path>.2 is missing: a listing mid-rename, never a settled chain.
+        assert _open_rotation_successor(path, old_ino, 3) is None
+        os.rename(f"{path}.3", f"{path}.2")
+        handle = _open_rotation_successor(path, old_ino, 3)
+        assert handle is not None
+        with handle:
+            assert os.fstat(handle.fileno()).st_ino == os.stat(f"{path}.1").st_ino
+
+    def test_consistent_chain_without_old_file_means_past_retention(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        with EventLog(path, max_bytes=200, backups=1) as log:
+            with open(path, "rb") as held:
+                old_ino = os.fstat(held.fileno()).st_ino
+                for i in range(12):
+                    log.emit("tick", i=i, pad="x" * 40)
+                assert log.rotations >= 2
+                assert _open_rotation_successor(path, old_ino, log.backups) is None
