@@ -34,6 +34,11 @@ class ExecutionProfile:
     index_hits: int = 0
     hash_table_entries: int = 0
     hash_probes: int = 0
+    # Frames handed upstream by vectorized operators.  The root of a
+    # counting run emits one zero-width frame per input frame (carrying only
+    # a row count), which still counts as a batch; since it no longer splits
+    # its output into ``batch_size`` chunks, a counting run records fewer
+    # batches than a collecting run of the same plan.
     batches: int = 0
     # Wall-clock duration of the run.  Under `merge` this takes the max of
     # the two sides: parallel morsels overlap in time, so their wall clocks

@@ -26,8 +26,22 @@ columns aligned to the plan node's ``out_vertices`` order.
 
 Match *counts* are identical to the iterator pipeline on every plan; only the
 order in which matches are produced may differ (each batch is sorted by its
-adjacency-key columns).  Counting queries never materialise matches —
-``num_matches`` accumulates from frame row counts.
+adjacency-key columns).
+
+Counting runs (``collect=False`` and no ``output_limit``) mark the root
+operator ``count_only``: for each input frame it emits a zero-width frame
+whose row count is the number of rows it would have produced, and builds
+none of them (paper Section 3.2.3: a count need not enumerate its matches).
+``num_matches``, deadlines and all profile counters then work unchanged.
+
+* A root E/I counts ``prefix rows x extensions`` from the per-group
+  extension counts; under isomorphism it subtracts the pairs whose extension
+  value equals one of the row's prefix values, found with one batched binary
+  search per prefix column.
+* A root hash join without a post-filter (homomorphism and no uncovered
+  query edge) counts the matched build rows of each probe row.  A root join
+  that must post-filter, every non-root operator, and collecting or LIMIT
+  runs build their rows as before.
 
 Batch-grouping invariants — what the operators assume of their inputs and
 guarantee of their outputs:
@@ -149,8 +163,23 @@ def _membership(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     return out
 
 
+def _occurrences(sorted_keys: np.ndarray, probe: np.ndarray) -> int:
+    """How many entries of ``sorted_keys`` equal a ``probe`` value, summed
+    over ``probe`` (a key repeated in ``sorted_keys`` counts every copy)."""
+    hits = probe[_membership(sorted_keys, probe)]
+    if not len(hits):
+        return 0
+    right = np.searchsorted(sorted_keys, hits, side="right")
+    return int((right - np.searchsorted(sorted_keys, hits)).sum())
+
+
 class BatchOperator:
     """Base class of batch operators; subclasses implement :meth:`frames`."""
+
+    #: Set on the root of a counting run (see the module docstring): emit
+    #: zero-width frames whose row count is the number of rows the operator
+    #: would have produced.
+    count_only = False
 
     def __init__(
         self,
@@ -355,6 +384,27 @@ class BatchExtendIntersectOperator(BatchOperator):
             return _EMPTY_I64, _EMPTY_I64
         return np.concatenate(group_parts), np.concatenate(value_parts)
 
+    def _prefix_collisions(
+        self,
+        rows: np.ndarray,
+        group_of_row: np.ndarray,
+        groups: np.ndarray,
+        values: np.ndarray,
+    ) -> int:
+        """How many ``(row, extension)`` pairs the isomorphism filter drops:
+        extension values equal to one of the row's own prefix values.
+
+        ``groups * n + values`` is sorted (group ids non-decreasing, values
+        sorted within a group), so each prefix column costs one batched
+        binary search.  The prefix values of a row are pairwise distinct, so
+        an extension value equals at most one of them and the per-column
+        counts add up exactly.
+        """
+        n = self.graph.num_vertices
+        codes = groups * n + values
+        offsets = group_of_row * n
+        return sum(_occurrences(codes, offsets + rows[:, j]) for j in range(rows.shape[1]))
+
     # ------------------------------------------------------------------ #
     def _process(self, frame: np.ndarray) -> Iterator[np.ndarray]:
         n = frame.shape[0]
@@ -382,7 +432,14 @@ class BatchExtendIntersectOperator(BatchOperator):
             else np.zeros(num_groups, dtype=np.int64)
         )
         row_counts = counts_per_group[group_of_row]
-        if int(row_counts.sum()) == 0:
+        total = int(row_counts.sum())
+        if total == 0:
+            return
+        if self.count_only:
+            if self.config.isomorphism:
+                total -= self._prefix_collisions(sorted_frame, group_of_row, groups, values)
+            if total:
+                yield np.empty((total, 0), dtype=np.int64)
             return
         # Expand (prefix x extension): repeat each sorted row by its group's
         # extension count and gather the matching candidate segment.  The
@@ -565,8 +622,19 @@ class BatchHashJoinOperator(BatchOperator):
         self.join_node = node
         self.build_child = build
         self.probe_child = probe
-        _, probe_key_idx, _, self._filter_edges = resolve_hash_join(node)
+        _, probe_key_idx, payload_idx, self._filter_edges = resolve_hash_join(node)
         self._probe_key_idx = np.array(probe_key_idx, dtype=np.int64)
+        # Isomorphism: the probe columns of a row are already pairwise
+        # distinct, and so are the build row's key and payload columns (the
+        # key values equal the probe's), so only non-key probe columns can
+        # collide with payload columns.
+        probe_width = len(node.probe.out_vertices)
+        self._iso_pairs = [
+            (i, probe_width + j)
+            for i in range(probe_width)
+            if i not in probe_key_idx
+            for j in range(len(payload_idx))
+        ]
         self._name = node.display_name()
         self.table = table
 
@@ -575,9 +643,8 @@ class BatchHashJoinOperator(BatchOperator):
     def _post_filter(self, out: np.ndarray) -> np.ndarray:
         mask = np.ones(out.shape[0], dtype=bool)
         if self.config.isomorphism:
-            for i in range(out.shape[1]):
-                for j in range(i + 1, out.shape[1]):
-                    mask &= out[:, i] != out[:, j]
+            for i, j in self._iso_pairs:
+                mask &= out[:, i] != out[:, j]
         n_vertices = self.graph.num_vertices
         for src_idx, dst_idx, label in self._filter_edges:
             keys = self.graph.adjacency_key_array(Direction.FORWARD, label, ANY_LABEL)
@@ -595,6 +662,11 @@ class BatchHashJoinOperator(BatchOperator):
             self.profile.record_hash_table(self._name, table.entries)
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
 
+        # Without a post-filter every (probe row, build match) pair is an
+        # output row, so a counting root needs only the run lengths.
+        count_pairs = (
+            self.count_only and not self.config.isomorphism and not self._filter_edges
+        )
         for probe_frame in self.probe_child.frames():
             self._check_deadline()
             t0 = time.perf_counter()
@@ -602,6 +674,12 @@ class BatchHashJoinOperator(BatchOperator):
             rows, match_starts, match_counts = table.match(
                 probe_frame[:, self._probe_key_idx]
             )
+            if count_pairs:
+                total = int(match_counts.sum())
+                self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+                if total:
+                    yield self._yield_frame(self._name, np.empty((total, 0), dtype=np.int64))
+                continue
             # Chunk the expansion so heavily duplicated join keys cannot blow
             # up a single output frame (same bound as the E/I operator).
             for lo, hi in _expansion_segments(match_counts, max(1, self.config.batch_size)):
@@ -678,6 +756,7 @@ def execute_plan_vectorized(
     root = build_batch_operator_tree(
         plan.root, graph, profile, config, is_root=True, join_tables=join_tables
     )
+    root.count_only = not collect and config.output_limit is None
     frames: Optional[List[np.ndarray]] = [] if collect else None
     count = 0
     truncated = False
